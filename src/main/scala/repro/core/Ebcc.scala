@@ -79,7 +79,9 @@ class Ebcc(numSubtypes: Int = 2, iters: Int = 80) extends LabelModel {
       r = next
       iter += 1
     }
-    r.map(_(1).sum)
+    // P(match) as a ratio of subtype sums: a sum of K normalised entries can
+    // round to 1 + 2^-52, while s1 / (s0 + s1) with s1 <= s0 + s1 cannot exceed 1.
+    r.map { ri => val s1 = ri(1).sum; s1 / (ri(0).sum + s1) }
   }
 }
 

@@ -14,20 +14,22 @@ import org.apache.spark.sql.functions._
   */
 object Blocking {
 
-  /** Tokens of `name` per record, stopwords removed. */
-  private def tokens(df: DataFrame, stopwords: Set[String]): DataFrame = {
-    val stop = stopwords
-    val stopFilter = udf((t: String) => t != null && t.nonEmpty && !stop.contains(t))
+  /** Tokens of `name` per record, stopwords removed. The stopword test is a
+    * native `IN` predicate over the collected set, so the filter stays inside
+    * the generated code and needs no broadcast.
+    */
+  private def tokens(df: DataFrame, stopwords: Set[String]): DataFrame =
     df.select(col("rid"), explode(split(lower(col("name")), "\\s+")).as("tok"))
-      .where(stopFilter(col("tok")))
-  }
+      .where(col("tok") =!= "" && !col("tok").isin(stopwords.toSeq: _*))
 
-  /** Stopwords: tokens appearing in more than `frac` of all records. */
-  def stopwords(spark: SparkSession, dfs: Seq[DataFrame], frac: Double = 0.02): Set[String] = {
-    val union = dfs.map(_.select("rid", "name")).reduce(_ union _)
-    val n = union.count()
+  /** Stopwords: tokens appearing in more than `frac` of the `n` records of
+    * `dfs`. The caller passes `n`, which the dataset already holds, so no
+    * Spark job counts the records.
+    */
+  def stopwords(dfs: Seq[DataFrame], n: Long, frac: Double = 0.02): Set[String] = {
     val limit = math.max(20.0, frac * n)
-    union.select(explode(array_distinct(split(lower(col("name")), "\\s+"))).as("tok"))
+    dfs.map(_.select("name")).reduce(_ union _)
+      .select(explode(array_distinct(split(lower(col("name")), "\\s+"))).as("tok"))
       .groupBy("tok").count()
       .where(col("count") > limit)
       .collect().map(_.getString(0)).toSet
@@ -36,7 +38,9 @@ object Blocking {
   /** Candidate pairs (id1, id2) with all pair attributes. */
   def block(spark: SparkSession, ds: EmDataGen.EmDataset,
             minOverlap: Int = 1, stopFrac: Double = 0.02): DataFrame = {
-    val stops = stopwords(spark, if (ds.cfg.twoTable) Seq(ds.left, ds.right) else Seq(ds.left), stopFrac)
+    val stops =
+      if (ds.cfg.twoTable) stopwords(Seq(ds.left, ds.right), ds.nLeft + ds.nRight, stopFrac)
+      else stopwords(Seq(ds.left), ds.nLeft, stopFrac)
     val lt = tokens(ds.left, stops).withColumnRenamed("rid", "id1")
     val rt = tokens(ds.right, stops).withColumnRenamed("rid", "id2")
     val joined = lt.join(rt, "tok")

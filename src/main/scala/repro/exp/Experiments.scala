@@ -148,6 +148,7 @@ final class Experiments(spark: SparkSession, val scale: Double) {
     val header = Seq("dataset", "SIMPLE-EM", "MV", "D&S", "EBCC", "FS", "SN", "ZE", "AL-RF", "DittoSim")
     val all = names.map { n =>
       val p = prepared(n)
+      p.textFeats // features are computed on first use: keep that out of the timed regions
       val tEm = time(Runner.simpleEm(p, seed = 1))
       val tWs = Runner.wsBaselines.map(m => time(m.fitPredict(p.votes, seed = 1)))
       val tZe = time(Runner.zeroEr(p, seed = 1))

@@ -6,19 +6,33 @@ import repro.emdata.{Blocking, Datasets, EmDataGen, Features}
 import repro.lf.{LabelingFunctions, LfSuite}
 import repro.zeroer.ZeroEr
 
-/** Prepares a dataset end-to-end (generate → block → LF votes → features)
-  * and exposes the evaluation closure every experiment shares.
+/** Prepares a dataset end-to-end (generate → block → LF votes) and exposes
+  * the evaluation closure every experiment shares. Features are computed
+  * only when a caller first reads them.
   */
 object Runner {
 
-  final case class Prepared(ds: EmDataGen.EmDataset,
-                            pairDf: DataFrame,
-                            pairs: Array[(Long, Long)],
-                            votes: Array[Array[Int]],
-                            feats: Array[Array[Double]],
-                            textFeats: Array[Array[Double]],
-                            truth: Array[Int],
-                            lfs: Seq[LabelingFunctions.Lf]) {
+  /** A prepared dataset: the blocked candidate pairs, their labeling matrix
+    * and ground truth, all row-aligned with `pairs`.
+    *
+    * `pairDf` is the uncached pair table with the vote columns. `feats` and
+    * `textFeats` are computed from it on first use and aligned to `pairs` by
+    * pair key, since a recompute of an uncached plan may return its rows in
+    * another order.
+    */
+  final class Prepared(val ds: EmDataGen.EmDataset,
+                       val pairDf: DataFrame,
+                       val pairs: Array[(Long, Long)],
+                       val votes: Array[Array[Int]],
+                       val truth: Array[Int],
+                       val lfs: Seq[LabelingFunctions.Lf],
+                       featureSource: () => (Array[Array[Double]], Array[Array[Double]])) {
+    private lazy val features = featureSource()
+    /** Magellan-style features ([[Features.featureCols]]), one row per pair. */
+    def feats: Array[Array[Double]] = features._1
+    /** The text-only subset ([[Features.textFeatureCols]]) of `feats`. */
+    def textFeats: Array[Array[Double]] = features._2
+
     def cfg: EmDataGen.EmConfig = ds.cfg
     val candSet: Set[(Long, Long)] = pairs.toSet
 
@@ -48,25 +62,45 @@ object Runner {
     def blockingRecall: Double = Blocking.recall(candSet, ds.gt)
   }
 
-  /** Generate + block + vote + featurize one dataset at `scale`. */
+  object Prepared {
+    /** A prepared dataset whose features are already computed. */
+    def apply(ds: EmDataGen.EmDataset, pairDf: DataFrame, pairs: Array[(Long, Long)],
+              votes: Array[Array[Int]], feats: Array[Array[Double]],
+              textFeats: Array[Array[Double]], truth: Array[Int],
+              lfs: Seq[LabelingFunctions.Lf]): Prepared =
+      new Prepared(ds, pairDf, pairs, votes, truth, lfs, () => (feats, textFeats))
+  }
+
+  private val textIdx = Features.textFeatureCols.map(Features.featureCols.indexOf).toArray
+
+  /** Features of `pairDf`'s rows, reordered to follow `pairs`. */
+  private def features(pairDf: DataFrame, pairs: Array[(Long, Long)])
+      : (Array[Array[Double]], Array[Array[Double]]) = {
+    val (ids, xs) = Features.collect(Features.withFeatures(pairDf))
+    val byPair = ids.iterator.zip(xs.iterator).toMap
+    require(byPair.size == pairs.length,
+      s"${byPair.size} feature rows for ${pairs.length} candidate pairs")
+    val feats = pairs.map(byPair)
+    (feats, feats.map(f => textIdx.map(f)))
+  }
+
+  /** Generate + block + vote one dataset at `scale`.
+    *
+    * The vote frame is cached only while it is collected: the cached plan
+    * keeps the final id2 shuffle's partitions (AQE may not coalesce a cached
+    * plan's output), and with them the row order of `pairs` and `votes` that
+    * the labeling models see. It is released before `prepare` returns.
+    */
   def prepare(spark: SparkSession, cfg: EmDataGen.EmConfig, scale: Double,
               lfsOverride: Option[Seq[LabelingFunctions.Lf]] = None): Prepared = {
     val ds = EmDataGen.generate(spark, cfg, scale)
-    val blocked = Blocking.block(spark, ds)
     val lfs = lfsOverride.getOrElse(LfSuite.suite(cfg.name))
-    val (withVotes, voteCols) = LabelingFunctions.withVotes(blocked, lfs)
-    val full = Features.withFeatures(withVotes).cache()
-    val rows = full.select(
-      (Seq("id1", "id2") ++ voteCols ++ Features.featureCols).map(org.apache.spark.sql.functions.col): _*
-    ).collect()
-    val pairs = rows.map(r => (r.getLong(0), r.getLong(1)))
-    val votes = rows.map(r => Array.tabulate(voteCols.size)(i => r.getInt(i + 2)))
-    val feats = rows.map(r =>
-      Array.tabulate(Features.featureCols.size)(i => r.getDouble(i + 2 + voteCols.size)))
-    val textIdx = Features.textFeatureCols.map(Features.featureCols.indexOf)
-    val textFeats = feats.map(f => textIdx.map(f).toArray)
+    val (voted, voteCols) = LabelingFunctions.withVotes(Blocking.block(spark, ds), lfs)
+    val (pairs, votes) =
+      try LabelMatrix.collect(voted.cache(), voteCols)
+      finally voted.unpersist()
     val truth = pairs.map(p => if (ds.gt.contains(p)) 1 else 0)
-    Prepared(ds, full, pairs, votes, feats, textFeats, truth, lfs)
+    new Prepared(ds, voted, pairs, votes, truth, lfs, () => features(voted, pairs))
   }
 
   // ---- Method registry (Tables 3, 6, 8, 11) --------------------------------

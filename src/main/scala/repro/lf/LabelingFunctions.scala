@@ -93,12 +93,13 @@ object LabelingFunctions {
     Lf(name, isNew, vote(
       when(col("l_brand") === col("r_brand") && jac >= minJac, 1).otherwise(0)))
 
-  /** Apply a suite: appends vote_i columns; returns (df, voteCols). */
+  /** Apply a suite: appends vote_i columns in one projection (a `withColumn`
+    * per LF would re-analyse the growing plan once per LF); returns
+    * (df, voteCols).
+    */
   def withVotes(pairDf: DataFrame, lfs: Seq[Lf]): (DataFrame, Seq[String]) = {
     val voteCols = lfs.indices.map(i => s"vote_$i")
-    val df = lfs.zipWithIndex.foldLeft(pairDf) { case (d, (lf, i)) =>
-      d.withColumn(s"vote_$i", lf.column)
-    }
-    (df, voteCols)
+    val votes = lfs.zip(voteCols).map { case (lf, c) => lf.column.as(c) }
+    (pairDf.select(col("*") +: votes: _*), voteCols)
   }
 }

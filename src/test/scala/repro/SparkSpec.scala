@@ -1,21 +1,31 @@
 package repro
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+
+import scala.collection.mutable
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
+  * SPARK_DRIVER_MEM, or, when it is unset, half of physical memory clamped
+  * to [2g, 8g]. Broadcast joins are disabled so shuffle/join papers actually
   * exercise the shuffle path at SF~=0.1; re-enable per-query if the
   * paper's contribution is the broadcast side.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
-  override def afterAll(): Unit = { super.afterAll() }
+  private val cachedFrames = mutable.ArrayBuffer.empty[DataFrame]
+
+  /** `df.cache()`, released again when the suite ends, so that no suite
+    * leaves cached frames behind in the shared session.
+    */
+  protected def cached(df: DataFrame): DataFrame = { cachedFrames += df; df.cache() }
+
+  override def afterAll(): Unit =
+    try cachedFrames.foreach(_.unpersist()) finally super.afterAll()
 }
 
 object SparkSpec {

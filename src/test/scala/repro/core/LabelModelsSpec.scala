@@ -90,6 +90,15 @@ class LabelModelsSpec extends AnyFunSuite {
     assert(acc > 0.8)
   }
 
+  test("EBCC labels stay finite and within [0,1] on a wide WRENCH matrix") {
+    // cdr: 33 LFs over 3000 rows, where a sum of normalised subtype
+    // posteriors can round to 1 + 2^-52.
+    val cdr = repro.wrench.WrenchGen.generate(repro.wrench.WrenchGen.specs.find(_.name == "cdr").get)
+    val g = Ebcc.fitPredict(cdr.votes, 0)
+    assert(g.length == cdr.votes.length)
+    g.indices.foreach(i => assert(!g(i).isNaN && g(i) >= 0 && g(i) <= 1, s"row $i: ${g(i)}"))
+  }
+
   test("FlyingSquid recovers the balanced fixture") {
     val acc = accuracy(FlyingSquid.fitPredict(balanced.votes), balanced.truth)
     assert(acc > 0.8)

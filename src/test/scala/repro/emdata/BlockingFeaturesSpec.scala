@@ -7,8 +7,8 @@ class BlockingFeaturesSpec extends SparkSpec {
 
   private lazy val fz = EmDataGen.generate(spark, Datasets.FZ, scale = 0.3)
   private lazy val m  = EmDataGen.generate(spark, Datasets.M, scale = 0.3)
-  private lazy val fzBlocked = Blocking.block(spark, fz).cache()
-  private lazy val mBlocked  = Blocking.block(spark, m).cache()
+  private lazy val fzBlocked = cached(Blocking.block(spark, fz))
+  private lazy val mBlocked  = cached(Blocking.block(spark, m))
 
   test("blocking emits unique pairs") {
     val n = fzBlocked.count()
@@ -35,16 +35,16 @@ class BlockingFeaturesSpec extends SparkSpec {
     // 30 records all containing "common"; "rare" appears once.
     val df = (1 to 30).map(i => (i.toLong, s"common tok$i" + (if (i == 1) " rare" else "")))
       .toDF("rid", "name")
-    val stops = Blocking.stopwords(spark, Seq(df), frac = 0.5)
+    val stops = Blocking.stopwords(Seq(df), 30, frac = 0.5)
     assert(stops == Set("common")) // 30 > max(20, 0.5*30=15)
-    val none = Blocking.stopwords(spark, Seq(df), frac = 2.0)
+    val none = Blocking.stopwords(Seq(df), 30, frac = 2.0)
     assert(none.isEmpty) // threshold above every count
   }
 
   test("oracle: candidate pair count matches DuckDB token-join") {
     // Cross-check the blocker's pair generation against an equivalent SQL
     // formulation in DuckDB over an exploded token table.
-    val stops = Blocking.stopwords(spark, Seq(fz.left, fz.right))
+    val stops = Blocking.stopwords(Seq(fz.left, fz.right), fz.nLeft + fz.nRight)
     val stopArr = stops.toSeq
     def tokDf(df: org.apache.spark.sql.DataFrame) = df
       .select(col("rid"), explode(split(lower(col("name")), "\\s+")).as("tok"))
@@ -63,7 +63,7 @@ class BlockingFeaturesSpec extends SparkSpec {
   }
 
   test("oracle: per-pair overlap counts match DuckDB") {
-    val stops = Blocking.stopwords(spark, Seq(fz.left, fz.right))
+    val stops = Blocking.stopwords(Seq(fz.left, fz.right), fz.nLeft + fz.nRight)
     val stopArr = stops.toSeq
     def tokDf(df: org.apache.spark.sql.DataFrame) = df
       .select(col("rid"), explode(split(lower(col("name")), "\\s+")).as("tok"))
@@ -82,7 +82,7 @@ class BlockingFeaturesSpec extends SparkSpec {
 
   // ---- features -------------------------------------------------------------
 
-  private lazy val fzFeat = Features.withFeatures(fzBlocked).cache()
+  private lazy val fzFeat = cached(Features.withFeatures(fzBlocked))
 
   test("feature columns are all present") {
     Features.featureCols.foreach(c => assert(fzFeat.columns.contains(c), c))

@@ -3,7 +3,7 @@ package repro.exp
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.{LabelModel, MajorityVote}
-import repro.emdata.Datasets
+import repro.emdata.{Blocking, Datasets, Features}
 
 class RunnerSpec extends SparkSpec {
 
@@ -15,6 +15,39 @@ class RunnerSpec extends SparkSpec {
     assert(fz.pairs.length == fz.feats.length)
     assert(fz.pairs.length == fz.truth.length)
     assert(fz.votes.forall(_.length == fz.lfs.size))
+  }
+
+  test("prepare leaves no cached frame behind") {
+    assert(fz.votes.nonEmpty)
+    assert(spark.sharedState.cacheManager.isEmpty)
+  }
+
+  test("prepare orders pairs by (pmod(hash(id2), P), id2, id1)") {
+    // Characterization of the row order the labeling models see: it comes
+    // from the final id2 shuffle of the cached vote frame, and SIMPLE-EM's and
+    // EBCC's labels depend on it. Any change to this order must be
+    // deliberate: it moves recorded scores.
+    import spark.implicits._
+    val parts = spark.conf.get("spark.sql.shuffle.partitions").toInt
+    Seq(fz, m).foreach { p =>
+      val bucket = p.pairs.map(_._2).distinct.toSeq.toDF("id2")
+        .select(col("id2"), pmod(hash(col("id2")), lit(parts)))
+        .collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
+      val expected = p.pairs.sortBy { case (id1, id2) => (bucket(id2), id2, id1) }
+      assert(p.pairs.sameElements(expected), p.cfg.name)
+    }
+  }
+
+  test("on-demand features match a direct feature pass by pair key") {
+    val (ids, xs) = Features.collect(Features.withFeatures(Blocking.block(spark, fz.ds)))
+    val direct = ids.zip(xs).toMap
+    val textIdx = Features.textFeatureCols.map(Features.featureCols.indexOf)
+    assert(direct.size == fz.pairs.length)
+    fz.pairs.indices.foreach { i =>
+      val x = direct(fz.pairs(i))
+      assert(fz.feats(i).sameElements(x), s"row $i")
+      assert(fz.textFeats(i).sameElements(textIdx.map(x)), s"row $i")
+    }
   }
 
   test("truth array marks exactly the GT pairs in the candidate set") {

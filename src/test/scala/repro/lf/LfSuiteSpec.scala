@@ -7,7 +7,7 @@ import LabelingFunctions._
 class LfSuiteSpec extends SparkSpec {
 
   private lazy val fz = EmDataGen.generate(spark, Datasets.FZ, scale = 0.3)
-  private lazy val blocked = Blocking.block(spark, fz).cache()
+  private lazy val blocked = cached(Blocking.block(spark, fz))
 
   test("suite sizes and new-LF counts match the paper's Table 2") {
     LfSuite.paperCounts.foreach { case (ds, (total, newCnt)) =>
